@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet doc-check crash chaos obs-dump admin-demo net-demo trace-demo consensus-demo bench bench-sqldb bench-wal bench-net bench-consensus bench-gate bench-placement placement-gate experiments clean
+.PHONY: all build test race vet doc-check crash chaos obs-dump admin-demo net-demo trace-demo consensus-demo bench bench-sqldb bench-wal bench-net bench-consensus bench-gate bench-placement placement-gate platbench experiments clean
 
 all: build test
 
@@ -137,6 +137,12 @@ bench-placement:
 # inert under balanced load. CI runs this on every push.
 placement-gate:
 	$(GO) run ./cmd/experiments -bench-placement -quick -bench-placement-out /tmp/sdp-placement-gate.json
+
+# Platform benchmark self-test (see platbench/README.md): every workload for
+# 3 s, untraced and traced, checking that each metric BENCHMARK.json names is
+# printed with its unit and that every correctness check passes (~2 min).
+platbench:
+	bash platbench/run.sh --selftest
 
 experiments:
 	$(GO) run ./cmd/experiments -quick

@@ -84,26 +84,33 @@ func waitAny(futs []*future) opResult {
 }
 
 // replicaSession is the controller's connection to one machine on behalf of
-// one distributed transaction. Operations enqueue onto a FIFO queue drained
-// by a dedicated goroutine, exactly like statements written down one JDBC
-// connection: per-machine order is preserved, but machines run independently
-// of each other — the property that makes the aggressive controller's
-// anomaly (Table 1) possible. When the cluster runs with a simulated
-// network, every operation crosses the session's controller→machine link
-// inside the queue worker, so injected latency delays subsequent operations
-// on the same machine exactly as a slow connection would.
+// one distributed transaction. Asynchronous operations — write fan-out and
+// the 2PC actions — enqueue onto a FIFO queue drained by a dedicated
+// goroutine, exactly like statements written down one JDBC connection:
+// per-machine order is preserved, but machines run independently of each
+// other — the property that makes the aggressive controller's anomaly
+// (Table 1) possible. When the cluster runs with a simulated network, every
+// operation crosses the session's controller→machine link, so injected
+// latency delays subsequent operations on the same machine exactly as a
+// slow connection would.
+//
+// The queue worker starts with the first enqueued operation. Until then the
+// caller is the only goroutine touching the branch, so the synchronous
+// operations — reads, the read-only one-phase commit and trace updates —
+// run inline on it: a read-only branch costs no goroutine and no channel.
+// Once the worker exists they go through the queue like everything else, so
+// they still order behind operations in flight on the machine.
 type replicaSession struct {
 	c       *Cluster
 	machine *Machine
 	txn     *sqldb.Txn
 	link    *netsim.Link // nil without a simulated network
-	ops     chan func()
+	ops     chan func()  // nil until the first enqueued operation
 	closed  chan struct{}
 }
 
 // newReplicaSession begins a transaction branch on the machine (across the
-// controller's link to it, when a network is simulated) and starts the
-// session's queue worker.
+// controller's link to it, when a network is simulated).
 func newReplicaSession(c *Cluster, m *Machine, db string, globalID uint64) (*replicaSession, error) {
 	if m.Failed() {
 		return nil, ErrMachineFailed
@@ -130,16 +137,7 @@ func newReplicaSession(c *Cluster, m *Machine, db string, globalID uint64) (*rep
 		}
 		return nil, err
 	}
-	s := &replicaSession{
-		c:       c,
-		machine: m,
-		txn:     txn,
-		link:    link,
-		ops:     make(chan func(), 64),
-		closed:  make(chan struct{}),
-	}
-	go s.run()
-	return s, nil
+	return &replicaSession{c: c, machine: m, txn: txn, link: link}, nil
 }
 
 // callLink delivers fn across link, or runs it directly on a nil link.
@@ -190,12 +188,28 @@ func (s *replicaSession) run() {
 	}
 }
 
-// enqueue schedules fn on the session's queue and returns a future for its
-// result. fn runs after every previously enqueued operation on this machine.
+// enqueue schedules fn on the session's queue, starting the queue worker on
+// first use, and returns a future for its result. fn runs after every
+// previously enqueued operation on this machine.
 func (s *replicaSession) enqueue(fn func() opResult) *future {
+	if s.ops == nil {
+		s.ops = make(chan func(), 64)
+		s.closed = make(chan struct{})
+		go s.run()
+	}
 	fut := newFuture()
 	s.ops <- func() { fut.complete(s.guard(fn)) }
 	return fut
+}
+
+// do runs a synchronous operation: inline on the caller while the session
+// has no queue worker, otherwise through the queue behind the operations
+// already in flight.
+func (s *replicaSession) do(fn func() opResult) opResult {
+	if s.ops == nil {
+		return s.guard(fn)
+	}
+	return s.enqueue(fn).wait()
 }
 
 // guard fails fast when the machine has died instead of touching its engine.
@@ -206,26 +220,38 @@ func (s *replicaSession) guard(fn func() opResult) opResult {
 	return fn()
 }
 
-// setTrace enqueues a trace-context update for the branch. Routing it
-// through the queue keeps the sqldb transaction single-goroutine (only the
-// session worker touches it) and orders the update behind any operations
+// setTrace updates the branch's trace context. With a queue worker running
+// the update is enqueued: that keeps the sqldb transaction single-goroutine
+// (only the worker touches it) and orders the update behind any operations
 // already in flight, so the context applies exactly to the statements
-// enqueued after it.
+// enqueued after it. Without one it applies inline.
 func (s *replicaSession) setTrace(tc obs.SpanContext) {
+	if s.ops == nil {
+		s.txn.SetTraceContext(tc)
+		return
+	}
 	s.ops <- func() { s.txn.SetTraceContext(tc) }
 }
 
-// execStmt enqueues a statement execution.
+// execStmt enqueues a statement execution (a write's fan-out to one
+// replica).
 func (s *replicaSession) execStmt(stmt sqldb.Statement, params []sqldb.Value) *future {
-	return s.enqueue(func() opResult {
-		var res *sqldb.Result
-		err := s.call("exec", false, func() error {
-			var xerr error
-			res, xerr = s.txn.ExecStmt(stmt, params...)
-			return xerr
-		})
-		return opResult{res: res, err: err}
+	return s.enqueue(func() opResult { return s.exec(stmt, params) })
+}
+
+// read executes a read-only statement synchronously (see do).
+func (s *replicaSession) read(stmt sqldb.Statement, params []sqldb.Value) opResult {
+	return s.do(func() opResult { return s.exec(stmt, params) })
+}
+
+func (s *replicaSession) exec(stmt sqldb.Statement, params []sqldb.Value) opResult {
+	var res *sqldb.Result
+	err := s.call("exec", false, func() error {
+		var xerr error
+		res, xerr = s.txn.ExecStmt(stmt, params...)
+		return xerr
 	})
+	return opResult{res: res, err: err}
 }
 
 // prepare enqueues the PREPARE action of 2PC. It runs after all previously
@@ -248,9 +274,10 @@ func (s *replicaSession) commitPrepared() *future {
 	})
 }
 
-// commit enqueues a one-phase commit (read-only branches).
-func (s *replicaSession) commit() *future {
-	return s.enqueue(func() opResult {
+// commit runs a one-phase commit (read-only branches) synchronously (see
+// do).
+func (s *replicaSession) commit() opResult {
+	return s.do(func() opResult {
 		return opResult{err: alreadyDone(s.call("commit1p", true, s.txn.Commit))}
 	})
 }
@@ -274,6 +301,9 @@ func (s *replicaSession) rollback() *future {
 
 // close shuts the queue down after all enqueued work drains.
 func (s *replicaSession) close() {
+	if s.ops == nil {
+		return
+	}
 	close(s.ops)
 	<-s.closed
 }

@@ -187,7 +187,7 @@ func (t *Txn) execRead(stmt sqldb.Statement, tables []string, params []sqldb.Val
 	if traced {
 		readStart = time.Now()
 	}
-	r := s.execStmt(stmt, params).wait()
+	r := s.read(stmt, params)
 	if traced {
 		t.recordSpan("read", "machine="+id, readStart)
 	}
@@ -275,7 +275,7 @@ func (t *Txn) Commit() error {
 	if !t.wrote {
 		var firstErr error
 		for _, s := range t.sessions {
-			r := s.commit().wait()
+			r := s.commit()
 			if r.err == nil {
 				continue
 			}
@@ -501,15 +501,16 @@ func IsRejection(err error) bool { return errors.Is(err, ErrRejected) }
 // (not-leader redirects and quorum loss heal once a leader re-emerges), or
 // any simulated-network fault — dropped or delayed messages, lost replies,
 // partitioned or timed-out calls all abort the transaction cleanly and
-// invite a retry. A sealed log is the same story as a failed machine: the
-// statement was in flight when the machine crashed and discovered it only
-// at its next log append.
+// invite a retry. A sealed log and a closed engine are the same story as a
+// failed machine: the statement was in flight when the machine crashed and
+// discovered it only at its next log append or engine call.
 func IsRetryable(err error) bool {
 	return errors.Is(err, sqldb.ErrDeadlock) ||
 		errors.Is(err, sqldb.ErrLockTimeout) ||
 		errors.Is(err, sqldb.ErrTxnAborted) ||
 		errors.Is(err, ErrRejected) ||
 		errors.Is(err, ErrMachineFailed) ||
+		errors.Is(err, sqldb.ErrEngineClosed) ||
 		errors.Is(err, wal.ErrSealed) ||
 		errors.Is(err, ErrPrepareTimeout) ||
 		errors.Is(err, ErrUnreachable) ||

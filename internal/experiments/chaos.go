@@ -161,8 +161,9 @@ func (r *ChaosReport) WriteText(w io.Writer) {
 
 // chaosClassify maps chaos-run errors onto TPC-W accounting: rejections
 // stay rejections, every transient failure mode the fault layer can produce
-// (network faults, timeouts, machine failures, an engine closing mid-call)
-// is a clean abort the client retries, and anything else is fatal.
+// (network faults, timeouts, machine failures, an engine closing mid-call —
+// all of them core.IsRetryable) is a clean abort the client retries, and
+// anything else is fatal.
 func chaosClassify(err error) tpcw.ErrorClass {
 	switch {
 	case core.IsRejection(err):
@@ -175,7 +176,7 @@ func chaosClassify(err error) tpcw.ErrorClass {
 		// spinning on the refused Begin at millions of aborts per second.
 		time.Sleep(200 * time.Microsecond)
 		return tpcw.ClassAborted
-	case core.IsRetryable(err), errors.Is(err, sqldb.ErrEngineClosed):
+	case core.IsRetryable(err):
 		return tpcw.ClassAborted
 	default:
 		return tpcw.DefaultClassifier(err)

@@ -9,8 +9,10 @@
 //
 // The fault model mirrors a TCP connection carrying an RPC protocol:
 //
-//   - per-link delivery is FIFO (the caller's session queues provide
-//     ordering; netsim only adds latency inside the queue worker),
+//   - per-link delivery is FIFO (the caller's replica sessions provide
+//     ordering; netsim only adds latency inside the call, whether the
+//     session's queue worker or, for a branch with no worker yet, the
+//     caller makes it),
 //   - a dropped request never executes at the receiver (ErrDropped),
 //   - a lost reply means the call DID execute but the caller cannot know
 //     (ErrReplyLost) — the ambiguity at the heart of 2PC timeout handling,

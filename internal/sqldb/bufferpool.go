@@ -243,6 +243,17 @@ func (p *BufferPool) InvalidateTable(table string) {
 	}
 }
 
+// Clear drops every cached page; the counters are kept.
+func (p *BufferPool) Clear() {
+	for i := range p.stripes {
+		s := &p.stripes[i]
+		s.mu.Lock()
+		clear(s.entries)
+		s.lru.Init()
+		s.mu.Unlock()
+	}
+}
+
 // Len returns the number of resident pages.
 func (p *BufferPool) Len() int {
 	n := 0

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -481,4 +482,46 @@ func TestCrashRandomizedCut(t *testing.T) {
 			wantIDs(t, e2, "bank", "log", want...)
 		})
 	}
+}
+
+// TestCloseDropsStateAndRestartRecovers checks that closing an engine — a
+// machine failure — drops its catalog, cached pages and plans while its
+// counters stay readable, and that a fresh engine over the same log still
+// recovers every committed row.
+func TestCloseDropsStateAndRestartRecovers(t *testing.T) {
+	e, s := newWALEngine(t)
+	if err := e.CreateDatabase("bank"); err != nil {
+		t.Fatal(err)
+	}
+	crashExec(t, e, "bank", "CREATE TABLE accounts (id INT PRIMARY KEY, bal INT)")
+	var ids []int64
+	for id := int64(1); id <= 200; id++ { // enough rows to seal pages
+		crashExec(t, e, "bank", fmt.Sprintf("INSERT INTO accounts (id, bal) VALUES (%d, 100)", id))
+		ids = append(ids, id)
+	}
+	wantIDs(t, e, "bank", "accounts", ids...)
+	before := e.Stats()
+	if e.Pool().Len() == 0 {
+		t.Fatal("reads left no page in the buffer pool")
+	}
+
+	e.Close()
+	if n := len(e.Databases()); n != 0 {
+		t.Fatalf("closed engine still lists %d databases", n)
+	}
+	if n := e.Pool().Len(); n != 0 {
+		t.Fatalf("closed engine still caches %d pages", n)
+	}
+	if n := e.plans.len(); n != 0 {
+		t.Fatalf("closed engine still caches %d plans", n)
+	}
+	if _, err := e.Exec("bank", "SELECT id FROM accounts"); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("query on a closed engine: got %v, want ErrEngineClosed", err)
+	}
+	if after := e.Stats(); after.Commits != before.Commits || after.Pool.Hits < before.Pool.Hits {
+		t.Fatalf("counters lost on close: before %+v, after %+v", before, after)
+	}
+
+	r, _ := recoverEngine(t, s)
+	wantIDs(t, r, "bank", "accounts", ids...)
 }

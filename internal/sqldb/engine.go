@@ -225,11 +225,18 @@ func (e *Engine) record(t *Txn, write bool, object string) {
 }
 
 // Close marks the engine closed; subsequent operations fail with
-// ErrEngineClosed. It models a machine failure (power/disk) in the paper.
+// ErrEngineClosed. It models a machine failure (power/disk) in the paper,
+// which loses all in-memory state: the catalog with its tables, the cached
+// pages and the cached plans are dropped, so a failed machine's data can be
+// collected. Stats stays readable. A restart builds a new engine from the
+// log.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
+	e.dbs = nil
 	e.mu.Unlock()
+	e.pool.Clear()
+	e.plans.clear()
 }
 
 // Closed reports whether Close was called.

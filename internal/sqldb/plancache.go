@@ -181,6 +181,17 @@ func (pc *planCache) invalidateDB(db string) {
 	}
 }
 
+// clear drops every cached plan and memo entry; the counters are kept.
+func (pc *planCache) clear() {
+	pc.bumpGen()
+	pc.mu.Lock()
+	clear(pc.entries)
+	pc.lru.Init()
+	pc.mu.Unlock()
+	pc.memo.Store(&sync.Map{})
+	pc.memoSize.Store(0)
+}
+
 // len returns the number of resident text-cache entries.
 func (pc *planCache) len() int {
 	pc.mu.Lock()

@@ -76,6 +76,10 @@ var ErrClientClosed = errors.New("wire: client closed")
 // server-reported MsgError); the pooled connection is discarded.
 var errConnDead = errors.New("wire: connection failed")
 
+// errDrained fails the calls pending on a connection whose server said an
+// unsolicited goodbye: retryable, and errors.Is(err, ErrServerShutdown).
+var errDrained = &Error{Code: ErrCodeShutdown, Msg: "server drained the connection"}
+
 // Client is a pooled wire-protocol client bound to one database. All
 // methods are safe for concurrent use. Autocommit calls (Exec, Query,
 // Stmt.Exec) multiplex over a fixed set of shared connections — each
@@ -497,8 +501,11 @@ func (cc *clientConn) readLoop() {
 			return
 		}
 		if f.typ == MsgBye && f.seq == 0 {
-			// Unsolicited goodbye: the server is draining.
-			cc.fail(fmt.Errorf("%w: %v", errConnDead, ErrServerShutdown))
+			// Unsolicited goodbye: the server is draining. It answers every
+			// request it has read before it says goodbye, so a call still
+			// pending here never executed and may retry on a new
+			// connection, writes included.
+			cc.fail(fmt.Errorf("%w: %w", errConnDead, errDrained))
 			return
 		}
 		cc.pmu.Lock()

@@ -26,7 +26,9 @@ func codeFor(err error) uint16 {
 		return ErrCodeOptimisticConflict
 	case errors.Is(err, core.ErrStaleRoute):
 		return ErrCodeStaleRoute
-	case errors.Is(err, core.ErrMachineFailed):
+	case errors.Is(err, core.ErrMachineFailed), errors.Is(err, sqldb.ErrEngineClosed):
+		// A closed engine is a failed machine's: the statement raced the
+		// failure that closed it.
 		return ErrCodeMachineFailed
 	case errors.Is(err, core.ErrNotLeader), errors.Is(err, core.ErrNoQuorum):
 		return ErrCodeNotLeader

@@ -58,13 +58,9 @@ type ServerConfig struct {
 	Metrics *obs.Registry
 	// Banner is the server identification sent in MsgWelcome.
 	Banner string
-	// QueueDepth bounds each connection's pipelined-request queue; a full
-	// queue blocks the connection's reader, pushing backpressure into the
-	// client's TCP window (default 64).
-	QueueDepth int
 	// DrainTimeout bounds graceful shutdown: how long Close waits for
-	// in-flight and queued requests to finish before force-closing
-	// connections (default 5s).
+	// connections to answer the requests they have read before
+	// force-closing them (default 5s).
 	DrainTimeout time.Duration
 	// StmtCacheSize caps the server's shared text→AST statement cache
 	// (default 512; see sqldb.NewStmtCache).
@@ -105,9 +101,6 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 5 * time.Second
@@ -174,7 +167,7 @@ func (s *Server) acceptLoop() {
 }
 
 // Close gracefully drains the server: it stops accepting, lets every
-// connection finish its in-flight and queued requests, sends each client a
+// connection answer the requests it has already read, sends each client a
 // MsgBye, and force-closes whatever remains after DrainTimeout.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -212,30 +205,24 @@ func (s *Server) Close() error {
 	return err
 }
 
-// request is one decoded frame queued for the session executor.
-type request struct {
-	f frame
-}
-
 // preparedStmt is one session-registered statement.
 type preparedStmt struct {
 	sql  string
 	stmt sqldb.Statement
 }
 
-// session serves one client connection: a reader goroutine decodes frames
-// into a bounded queue (backpressure = blocked reads = client's TCP
-// window), and one executor goroutine runs them strictly in order and
-// writes responses tagged with the request's sequence ID. Responses are
-// flushed when the queue runs empty, so pipelined bursts are answered in
-// batched writes.
+// session serves one client connection on one goroutine: it reads a frame,
+// executes it, and writes the response tagged with the request's sequence
+// ID. Responses are flushed only when the read buffer runs empty, so a
+// pipelined burst is answered in batched writes. While
+// a request executes nothing reads the socket, so a client that pipelines
+// faster than the server executes fills its own TCP window: that is the
+// backpressure.
 type session struct {
 	srv  *Server
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-
-	reqs chan request
 
 	closeOnce sync.Once
 
@@ -245,7 +232,7 @@ type session struct {
 	stmts  map[uint32]preparedStmt
 	nextID uint32
 
-	draining atomic.Bool // set by startDrain; executor sends MsgBye when idle
+	draining atomic.Bool // set by startDrain; serve says goodbye when idle
 }
 
 func newSession(s *Server, c net.Conn) *session {
@@ -254,20 +241,19 @@ func newSession(s *Server, c net.Conn) *session {
 		conn:  c,
 		br:    bufio.NewReaderSize(c, 4096),
 		bw:    bufio.NewWriterSize(c, 4096),
-		reqs:  make(chan request, s.cfg.QueueDepth),
 		stmts: make(map[uint32]preparedStmt),
 	}
 }
 
-// startDrain asks the session to finish queued work and say goodbye: the
-// read side is unblocked by an immediate deadline, so the reader exits
-// after at most one more frame and the executor drains what is queued.
+// startDrain asks the session to answer what it has read and say goodbye:
+// an immediate read deadline makes its next read from the socket fail, so
+// it stops once the frames already in its read buffer are handled.
 func (c *session) startDrain() {
 	c.draining.Store(true)
 	_ = c.conn.SetReadDeadline(time.Now())
 }
 
-// forceClose tears the connection down, unblocking both goroutines.
+// forceClose tears the connection down, unblocking the session.
 func (c *session) forceClose() {
 	c.closeOnce.Do(func() { _ = c.conn.Close() })
 }
@@ -282,12 +268,6 @@ func (c *session) serve() {
 		c.srv.metrics.stmtsActive.Add(-float64(len(c.stmts)))
 	}()
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.execLoop()
-	}()
-
 	for {
 		f, n, err := readFrame(c.br)
 		if err != nil {
@@ -295,27 +275,15 @@ func (c *session) serve() {
 				// A malformed frame is unrecoverable: framing sync is lost.
 				// Report once (seq 0: the request's seq is unknowable) and
 				// hang up.
-				c.reqs <- request{f: frame{typ: 0, seq: 0, payload: []byte(err.Error())}}
+				c.sendError(0, ErrCodeProtocol, err.Error())
 			}
 			break
 		}
 		c.srv.metrics.bytesRead.Add(uint64(n))
-		c.reqs <- request{f: f}
-		if f.typ == MsgQuit {
+		if !c.handle(f) {
 			break
 		}
-	}
-	close(c.reqs)
-	<-done
-}
-
-// execLoop drains the request queue in order.
-func (c *session) execLoop() {
-	for req := range c.reqs {
-		if !c.handle(req.f) {
-			break
-		}
-		if len(c.reqs) == 0 {
+		if c.br.Buffered() == 0 {
 			c.flush()
 			if c.draining.Load() && c.txn == nil {
 				break
@@ -327,11 +295,6 @@ func (c *session) execLoop() {
 		c.srv.metrics.drainedConns.Inc()
 	}
 	c.flush()
-	c.forceClose()
-	// The reader may still be pushing requests; drain them so it cannot
-	// block forever on a full queue.
-	for range c.reqs {
-	}
 }
 
 func (s *Server) isDraining() bool {
@@ -344,11 +307,6 @@ func (s *Server) isDraining() bool {
 func (c *session) handle(f frame) bool {
 	c.srv.metrics.msgs.With(msgName(f.typ)).Inc()
 	switch f.typ {
-	case 0:
-		// Synthetic frame from the reader: a framing error already rendered
-		// into the payload.
-		c.sendError(0, ErrCodeProtocol, string(f.payload))
-		return false
 	case MsgHello:
 		return c.handleHello(f)
 	case MsgPing:
